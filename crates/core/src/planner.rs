@@ -15,8 +15,9 @@
 //! paying a fresh allocation per solve — see the `planner_reuse`
 //! benchmark.
 //!
-//! It also **warm-starts the LP**: the optimal basis of every solve is
-//! cached per problem shape and fed to
+//! It also **warm-starts the LP** through a [`dmc_lp::WarmSolver`] — the
+//! same cache the fleet's joint solves use: the optimal basis of every
+//! solve is cached per problem shape and fed to
 //! [`dmc_lp::Problem::solve_warm_with`] on the next same-shaped solve, so
 //! a sweep or re-solve that only moves objective/RHS coefficients re-enters
 //! phase 2 directly instead of re-deriving feasibility from scratch (see
@@ -31,9 +32,10 @@ use crate::plan::{Plan, TimeoutSchedule};
 use crate::random_delay::{fill_random_coeffs, PlateauRule};
 use crate::scenario::{Scenario, ScenarioPath};
 use crate::strategy::Strategy;
-use dmc_lp::{Basis, ConstraintKind, Problem, Solution, SolveError, SolverOptions, Workspace};
-use std::collections::HashMap;
+use dmc_lp::{Problem, Solution, SolveError, SolverOptions, WarmCounters, WarmSolver};
 use std::fmt;
+
+pub use dmc_lp::WarmStats;
 
 /// What the LP optimizes (the paper's three solve modes).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,42 +101,6 @@ impl From<SolveError> for PlanError {
     }
 }
 
-/// Warm-start cache counters of a [`Planner`] (or a
-/// `dmc_fleet::FleetPlanner`, which keeps the same kind of cache over its
-/// joint LPs): how re-solves split between basis reuse and cold solves.
-///
-/// An *attempt* is a solve for which a cached basis of the right shape
-/// existed; it becomes a *hit* when the solver actually re-entered
-/// phase 2 from that basis, and a *miss* when the basis had gone stale
-/// (infeasible under the new coefficients, singular) and the solver fell
-/// back to a cold two-phase solve. Solves with no cached basis at all
-/// (first solve of a shape, cache disabled) count in neither bucket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct WarmStats {
-    /// Warm-start attempts that re-entered phase 2 from the cached basis.
-    pub hits: u64,
-    /// Warm-start attempts that fell back to a cold solve.
-    pub misses: u64,
-}
-
-impl WarmStats {
-    /// Total solves that consulted a cached basis (`hits + misses`).
-    pub fn attempts(&self) -> u64 {
-        self.hits + self.misses
-    }
-}
-
-impl fmt::Display for WarmStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} warm hit(s) / {} attempt(s)",
-            self.hits,
-            self.attempts()
-        )
-    }
-}
-
 /// Planner configuration (model-level knobs shared by every solve).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannerConfig {
@@ -170,43 +136,12 @@ impl Default for PlannerConfig {
     }
 }
 
-/// Cache key for warm-start bases: the *shape* of an assembled LP.
-///
-/// Two problems of equal shape (same variable count, same row count, same
-/// row-kind pattern) can exchange bases: feasibility of a basis depends
-/// only on the RHS, which the solver re-checks on every warm start.
-/// Shapes with more than 128 rows are not cached (the paper's LPs have a
-/// handful).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ShapeKey {
-    n_vars: usize,
-    n_rows: usize,
-    eq_mask: u128,
-}
-
-impl ShapeKey {
-    fn of(problem: &Problem) -> Option<Self> {
-        let n_rows = problem.num_constraints();
-        if n_rows > 128 {
-            return None;
-        }
-        let mut eq_mask = 0u128;
-        for (i, c) in problem.constraints().iter().enumerate() {
-            if c.kind() == ConstraintKind::Eq {
-                eq_mask |= 1 << i;
-            }
-        }
-        Some(ShapeKey {
-            n_vars: problem.num_vars(),
-            n_rows,
-            eq_mask,
-        })
-    }
-}
-
-/// Bound on cached shapes; a planner cycling through more shapes than
-/// this simply restarts its cache (sweeps touch one or two shapes).
-const MAX_CACHED_SHAPES: usize = 32;
+/// The `dmc_obs` counters the planner's warm-start cache reports under.
+const WARM_COUNTERS: WarmCounters = WarmCounters {
+    hits: "planner.warm_hits",
+    misses: "planner.warm_misses",
+    anomalies: "planner.warm_anomalies",
+};
 
 /// The planning engine: turns ([`Scenario`], [`Objective`]) into a
 /// [`Plan`], reusing its LP workspace and coefficient buffers across
@@ -228,22 +163,23 @@ const MAX_CACHED_SHAPES: usize = 32;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Planner {
     config: PlannerConfig,
-    workspace: Workspace,
     // Reused coefficient buffers (cleared and refilled per plan).
     p: Vec<f64>,
     cost: Vec<f64>,
     usage: Vec<Vec<f64>>,
     stage_timeouts: Vec<Vec<Option<f64>>>,
     det_paths: Vec<PathSpec>,
-    // Warm-start state: last optimal basis per problem shape, plus
-    // counters for observability (benchmarks, tests).
-    // dmc-lint: allow(det-unordered-map) key-lookup-only cache: get/insert/contains_key/len/clear, never iterated, so key order cannot reach results
-    warm_bases: HashMap<ShapeKey, Basis>,
-    warm_attempts: u64,
-    warm_hits: u64,
+    /// LP scratch memory plus the last optimal basis per problem shape.
+    warm: WarmSolver,
+}
+
+impl Default for Planner {
+    fn default() -> Self {
+        Planner::with_config(PlannerConfig::default())
+    }
 }
 
 impl Planner {
@@ -256,7 +192,12 @@ impl Planner {
     pub fn with_config(config: PlannerConfig) -> Self {
         Planner {
             config,
-            ..Planner::default()
+            p: Vec::new(),
+            cost: Vec::new(),
+            usage: Vec::new(),
+            stage_timeouts: Vec::new(),
+            det_paths: Vec::new(),
+            warm: WarmSolver::new(WARM_COUNTERS),
         }
     }
 
@@ -422,54 +363,17 @@ impl Planner {
         Ok(plan)
     }
 
-    /// Solves an assembled LP, warm-starting from the cached basis of the
-    /// same problem shape when enabled, and refreshing the cache with the
-    /// new optimal basis.
+    /// Solves an assembled LP through the planner's [`WarmSolver`]:
+    /// warm-started from the cached basis of the same problem shape when
+    /// enabled, with the new optimal basis cached for the next solve.
     ///
     /// Warm and cold solves of the same problem produce identical
     /// results (the revised backend canonicalizes its reported vertex),
     /// so this is purely a performance device.
     fn solve_lp(&mut self, problem: &Problem) -> Result<Solution, SolveError> {
-        let key = if self.config.warm_start {
-            ShapeKey::of(problem)
-        } else {
-            None
-        };
-        let solution = match key.and_then(|k| self.warm_bases.get(&k)) {
-            Some(basis) => {
-                self.warm_attempts += 1;
-                // Mirror hit/miss into the telemetry registry (no-op when
-                // disabled); a solve error counts as a miss, matching how
-                // `warm_stats()` derives misses from attempts − hits.
-                let obs = &self.config.solver.obs;
-                let s = match problem.solve_warm_with(
-                    &self.config.solver,
-                    &mut self.workspace,
-                    basis,
-                ) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        obs.counter("planner.warm_misses").inc();
-                        return Err(e);
-                    }
-                };
-                if s.used_warm_start() {
-                    self.warm_hits += 1;
-                    obs.counter("planner.warm_hits").inc();
-                } else {
-                    obs.counter("planner.warm_misses").inc();
-                }
-                s
-            }
-            None => problem.solve_with(&self.config.solver, &mut self.workspace)?,
-        };
-        if let (Some(k), Some(basis)) = (key, solution.basis()) {
-            if self.warm_bases.len() >= MAX_CACHED_SHAPES && !self.warm_bases.contains_key(&k) {
-                self.warm_bases.clear();
-            }
-            self.warm_bases.insert(k, basis.clone());
-        }
-        Ok(solution)
+        let solver = &self.config.solver;
+        self.warm
+            .solve(problem, solver, self.config.warm_start, &solver.obs)
     }
 
     /// Warm-start cache counters: how many solves re-entered phase 2 from
@@ -483,26 +387,17 @@ impl Planner {
     /// stays per-planner (a registry shared across planners or replays
     /// aggregates instead); prefer the registry for exported telemetry.
     pub fn warm_stats(&self) -> WarmStats {
-        WarmStats {
-            hits: self.warm_hits,
-            misses: self.warm_attempts - self.warm_hits,
-        }
-    }
-
-    /// The pre-[`WarmStats`] counter shape: `(attempts, hits)`.
-    #[deprecated(note = "use `warm_stats()`, which returns a named `WarmStats { hits, misses }`")]
-    pub fn warm_stats_tuple(&self) -> (u64, u64) {
-        (self.warm_attempts, self.warm_hits)
+        self.warm.stats()
     }
 
     /// Number of problem shapes with a cached warm-start basis.
     pub fn cached_bases(&self) -> usize {
-        self.warm_bases.len()
+        self.warm.cached_bases()
     }
 
     /// Drops all cached warm-start bases (subsequent solves start cold).
     pub fn clear_warm_cache(&mut self) {
-        self.warm_bases.clear();
+        self.warm.clear();
     }
 
     /// Loads a deterministic scenario's paths into the reusable
@@ -1072,10 +967,6 @@ mod tests {
         let stats = planner.warm_stats();
         assert!(stats.hits > 0, "sweep never warm-started");
         assert_eq!(stats.attempts(), stats.hits + stats.misses);
-        #[allow(deprecated)]
-        let (attempts, hits) = planner.warm_stats_tuple();
-        assert_eq!(attempts, stats.attempts());
-        assert_eq!(hits, stats.hits);
         assert!(format!("{stats}").contains("warm hit"));
     }
 

@@ -18,11 +18,13 @@
 //! * per-flow coefficients come from
 //!   [`dmc_core::Planner::model`] — the same Eq. 12/28 code both delay
 //!   regimes already use;
-//! * the joint LP is a plain [`dmc_lp::Problem`], solved by the revised
-//!   backend with **warm starts**: the optimal basis is cached per joint
-//!   shape, so churn (a departure returning the fleet to a
-//!   previously-seen shape, a link retune keeping the shape) re-enters
-//!   phase 2 directly — see the `fleet_admission` benchmark;
+//! * the joint LP is a plain [`dmc_lp::Problem`], maintained
+//!   incrementally and solved by the block-sparse backend through a
+//!   [`dmc_lp::WarmSolver`] — the warm-start cache the single-flow
+//!   planner uses too: the optimal basis is cached per joint shape, so
+//!   churn (a departure returning the fleet to a previously-seen shape, a
+//!   link retune keeping the shape) re-enters phase 2 directly — see the
+//!   `fleet_admission` benchmark;
 //! * the joint solution is **decomposed back into ordinary per-flow
 //!   [`dmc_core::Plan`]s** via [`dmc_core::ScenarioModel::plan_for`], so
 //!   `run_plan`, `DmcSender::from_plan` and `AdaptiveSender` consume
@@ -37,11 +39,15 @@
 //! aggregate quality) and `WeightedFair` (priority-weighted).
 //!
 //! Beyond the steady-state instant, [`SchedulePlanner`] expands the
-//! joint LP over a slotted [`TimeGrid`] horizon: flows carry
-//! `[start, deadline)` [`SlotWindow`]s, refused-now flows receive
-//! **advance reservations** for the earliest feasible later window,
-//! store-and-forward buffering drains traffic across slot boundaries,
-//! and maintenance windows are zero-capacity slots — see the
+//! joint LP over a slotted [`TimeGrid`] horizon. Both planners are policy
+//! layers over one crate-private joint-LP core (one assembly, one
+//! warm-start solver, one membership engine); the instant fleet is its
+//! one-slot case, every flow served within `SlotWindow::instant(0)`.
+//! On the time axis flows carry `[start, deadline)` [`SlotWindow`]s,
+//! refused-now flows receive **advance reservations** for the earliest
+//! feasible later window, store-and-forward buffering drains traffic
+//! across slot boundaries, and maintenance windows are zero-capacity
+//! slots — see the
 //! [`schedule`-module docs](SchedulePlanner) and `ARCHITECTURE.md` at
 //! the repository root for where it sits in the stack.
 //!
@@ -76,6 +82,7 @@
 
 mod error;
 mod flow;
+mod joint;
 mod planner;
 mod schedule;
 pub mod service;

@@ -111,6 +111,11 @@
 //!   sensitivity analysis on bandwidth/cost bounds (paper §IX-C).
 //! * A stale warm basis can never corrupt a result: it is validated and,
 //!   if unusable, the solver falls back to the cold path.
+//!
+//! [`WarmSolver`] packages the warm-start policy every planner shares: a
+//! basis cache keyed by problem shape ([`JointShapeKey`]), the cold
+//! re-solve after a warm-path anomaly, a bounded cache and hit/miss/
+//! anomaly counters ([`WarmStats`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -121,8 +126,10 @@ mod revised;
 mod simplex;
 mod solution;
 mod sparse;
+mod warm;
 
 pub use error::{ProblemError, SolveError, SolveStatus};
 pub use problem::{Constraint, ConstraintKind, Problem};
 pub use simplex::{Backend, PivotRule, SolverOptions, Workspace};
 pub use solution::{Basis, BasisVar, Solution};
+pub use warm::{JointShapeKey, WarmCounters, WarmSolver, WarmStats};
