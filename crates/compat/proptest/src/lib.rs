@@ -10,12 +10,18 @@
 //! * [`any`] and [`collection::vec`],
 //! * [`ProptestConfig::with_cases`].
 //!
-//! Differences from the real crate: inputs are drawn from a fixed
+//! Differences from the real crate: inputs are drawn from a
 //! deterministic stream per test (seeded from the test name), and there
-//! is **no shrinking** — a failing case reports its case number and the
-//! formatted assertion message instead of a minimized input. That trades
-//! debugging convenience for zero dependencies; the generated coverage is
-//! equivalent.
+//! is **no shrinking** — a failing case reports its case number, the
+//! seed and the formatted assertion message instead of a minimized
+//! input. That trades debugging convenience for zero dependencies; the
+//! generated coverage is equivalent.
+//!
+//! **Fresh seeds.** With the `PROPTEST_SEED` environment variable set to
+//! an unsigned integer, that seed is mixed into every test's name seed,
+//! so the same properties explore new inputs; a failure message names
+//! the seed, and re-running with the same `PROPTEST_SEED` replays it.
+//! Unset, every test replays its fixed name-seeded stream.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,10 +40,21 @@ impl TestRng {
     /// Creates a generator seeded from a test name (FNV-1a hash), so every
     /// test draws a reproducible input stream.
     pub fn from_name(name: &str) -> Self {
+        Self::from_name_and_seed(name, None)
+    }
+
+    /// Creates a generator seeded from a test name with an optional run
+    /// seed mixed in; `None` gives exactly [`TestRng::from_name`]'s
+    /// stream.
+    pub fn from_name_and_seed(name: &str, seed: Option<u64>) -> Self {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in name.bytes() {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        if let Some(seed) = seed {
+            let mut mix = TestRng { state: seed };
+            h ^= mix.next_u64();
         }
         TestRng { state: h }
     }
@@ -60,6 +77,20 @@ impl TestRng {
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "empty range");
         self.next_u64() % bound
+    }
+}
+
+/// The run seed from the `PROPTEST_SEED` environment variable, if set.
+///
+/// # Panics
+///
+/// If the variable is set but is not an unsigned integer: a typo must
+/// not silently replay the fixed streams.
+pub fn env_seed() -> Option<u64> {
+    let raw = std::env::var("PROPTEST_SEED").ok()?;
+    match raw.trim().parse() {
+        Ok(seed) => Some(seed),
+        Err(_) => panic!("PROPTEST_SEED must be an unsigned integer, got {raw:?}"),
     }
 }
 
@@ -355,7 +386,8 @@ macro_rules! __proptest_items {
         $(#[$meta])*
         fn $name() {
             let config: $crate::ProptestConfig = $cfg;
-            let mut rng = $crate::TestRng::from_name(stringify!($name));
+            let seed = $crate::env_seed();
+            let mut rng = $crate::TestRng::from_name_and_seed(stringify!($name), seed);
             for case in 0..config.cases {
                 $(let $arg = $crate::Strategy::generate(&($strat), &mut rng);)+
                 let run = move || -> ::std::result::Result<(), $crate::TestCaseError> {
@@ -363,11 +395,16 @@ macro_rules! __proptest_items {
                     ::std::result::Result::Ok(())
                 };
                 if let ::std::result::Result::Err(e) = run() {
+                    let replay = match seed {
+                        ::std::option::Option::Some(s) => format!("PROPTEST_SEED={s}"),
+                        ::std::option::Option::None => "PROPTEST_SEED unset".to_string(),
+                    };
                     panic!(
-                        "proptest `{}` failed at case {}/{}: {}",
+                        "proptest `{}` failed at case {}/{} ({}): {}",
                         stringify!($name),
                         case + 1,
                         config.cases,
+                        replay,
                         e
                     );
                 }
@@ -413,6 +450,29 @@ mod tests {
             }
         }
         always_fails();
+    }
+
+    #[test]
+    #[should_panic(expected = "PROPTEST_SEED")]
+    fn failure_message_names_the_seed() {
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2))]
+
+            #[allow(dead_code)]
+            fn always_fails(x in 0u64..10) {
+                prop_assert!(x > 1_000, "x was only {x}");
+            }
+        }
+        always_fails();
+    }
+
+    #[test]
+    fn run_seeds_give_fresh_replayable_streams() {
+        let draw = |seed| crate::TestRng::from_name_and_seed("alpha", seed).next_u64();
+        assert_eq!(draw(None), crate::TestRng::from_name("alpha").next_u64());
+        assert_eq!(draw(Some(7)), draw(Some(7)));
+        assert_ne!(draw(Some(7)), draw(Some(8)));
+        assert_ne!(draw(Some(7)), draw(None));
     }
 
     #[test]

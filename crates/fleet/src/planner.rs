@@ -442,6 +442,7 @@ impl FleetPlanner {
         let mut plans = Vec::with_capacity(ids.len());
         let mut removed_admitted = false;
         for &id in ids {
+            self.core.config.obs.counter("fleet.departs").inc();
             if let Some(idx) = self.core.position(id) {
                 removed_admitted = true;
                 plans.push(self.core.remove(idx).plan);
@@ -451,6 +452,7 @@ impl FleetPlanner {
                     .iter()
                     .position(|s| s.id == id)
                     .expect("validated as known above");
+                self.core.config.obs.gauge("fleet.shed_queue").sub(1);
                 plans.push(self.shed.remove(pos).plan);
             }
         }
@@ -1121,6 +1123,43 @@ mod tests {
         ));
         assert_eq!(batched.num_flows(), 2);
         assert!(batched.depart_batch(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn depart_batch_books_departures_like_one_by_one_departs() {
+        // A shed flow and an admitted one leave together: the batch must
+        // count both departures and withdraw the shed one from the queue
+        // gauge, exactly as two single departures do.
+        let run = |batched: bool| {
+            let obs = dmc_obs::Obs::enabled();
+            let config = FleetConfig {
+                obs: obs.clone(),
+                ..FleetConfig::default()
+            };
+            let mut fleet = FleetPlanner::new(table3_paths(), config).unwrap();
+            let big = fleet
+                .offer(FlowRequest::new(60e6, 0.8).unwrap().with_min_quality(0.9))
+                .unwrap();
+            let small = fleet
+                .offer(FlowRequest::new(10e6, 0.8).unwrap().with_min_quality(0.9))
+                .unwrap();
+            fleet.offer(FlowRequest::new(5e6, 0.8).unwrap()).unwrap();
+            fleet.apply_link_change(0, &LinkChange::Fail).unwrap();
+            assert_eq!(fleet.shed_flows(), vec![big.id()]);
+            if batched {
+                fleet.depart_batch(&[big.id(), small.id()]).unwrap();
+            } else {
+                fleet.depart(big.id()).unwrap();
+                fleet.depart(small.id()).unwrap();
+            }
+            assert_eq!(fleet.num_flows(), 1);
+            obs.snapshot()
+        };
+        let batch = run(true);
+        let single = run(false);
+        assert_eq!(batch.counter("fleet.departs"), Some(2));
+        assert_eq!(batch.gauge("fleet.shed_queue"), Some(0));
+        assert_eq!(batch, single);
     }
 
     #[test]

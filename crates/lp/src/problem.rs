@@ -606,13 +606,17 @@ impl Problem {
     ///
     /// When the basis is still primal feasible the solver skips phase 1
     /// and re-enters phase 2 directly
-    /// ([`Solution::used_warm_start`] reports `true`); a stale basis —
-    /// wrong shape, singular, or infeasible under the new RHS — silently
-    /// falls back to the cold two-phase path, so `solve_warm` never
-    /// returns a worse outcome than [`Problem::solve`].
+    /// ([`Solution::used_warm_start`] reports `true`). A basis that
+    /// factors but is primal infeasible under the new RHS is *repaired*
+    /// by [`Backend::Sparse`]: one extra artificial column makes it
+    /// feasible and phase 1 runs from there (also reported as a warm
+    /// start); [`Backend::Revised`] instead falls back to the cold
+    /// two-phase path. A basis of the wrong shape, or a singular one,
+    /// falls back cold on every backend, so `solve_warm` never returns a
+    /// worse outcome than [`Problem::solve`].
     ///
-    /// Only [`Backend::Revised`] honors the hint; the dense oracle
-    /// ignores it and solves cold.
+    /// [`Backend::Revised`] and [`Backend::Sparse`] honor the hint; the
+    /// dense oracle ignores it and solves cold.
     ///
     /// # Errors
     ///
@@ -691,6 +695,9 @@ impl Problem {
                     .add(stats.refactorizations);
                 if stats.phase1_early_exit {
                     obs.counter("lp.phase1_early_exits").inc();
+                }
+                if stats.warm_repaired {
+                    obs.counter("lp.warm_repairs").inc();
                 }
                 let eta_len = obs.histogram("lp.eta_len");
                 for &len in &stats.eta_lengths {

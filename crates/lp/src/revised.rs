@@ -1252,8 +1252,7 @@ fn export_basis(ws: &RevisedWorkspace, dims: &Dims) -> Option<Basis> {
         if c < dims.n {
             slots.push(BasisVar::Structural(c));
         } else if c < dims.art_start {
-            let row = ws.slack_col.iter().position(|&s| s == c)?;
-            slots.push(BasisVar::Slack(row));
+            slots.push(BasisVar::Slack(ws.logical_row[c - dims.n]));
         } else {
             return None;
         }

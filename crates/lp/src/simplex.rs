@@ -87,7 +87,8 @@ pub struct SolverOptions {
     /// Telemetry registry (default [`dmc_obs::Obs::disabled`]: every
     /// recording is a no-op branch). When enabled, each solve records
     /// `lp.solves`, `lp.pivots`, `lp.refactorizations`,
-    /// `lp.phase1_early_exits`, warm-start counters, the `lp.eta_len`
+    /// `lp.phase1_early_exits`, warm-start counters (`lp.warm_repairs`
+    /// among them), the `lp.eta_len`
     /// histogram, and a per-backend `lp.solve.*` span; the logical clock
     /// advances by one tick per pivot.
     pub obs: dmc_obs::Obs,
@@ -118,6 +119,9 @@ pub(crate) struct SolveStats {
     /// Whether phase 1 exited as soon as the last artificial left the
     /// basis, skipping the final pricing wrap.
     pub(crate) phase1_early_exit: bool,
+    /// Whether a primal-infeasible warm basis was repaired and the solve
+    /// went on from it (sparse backend only).
+    pub(crate) warm_repaired: bool,
 }
 
 impl SolveStats {
@@ -126,6 +130,7 @@ impl SolveStats {
         self.refactorizations = 0;
         self.eta_lengths.clear();
         self.phase1_early_exit = false;
+        self.warm_repaired = false;
     }
 }
 

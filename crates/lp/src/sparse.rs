@@ -33,13 +33,26 @@
 //!   chunk scans per-flow blocks independently: per-flow rows contribute
 //!   only to their own block's section and the bulk reduced-cost fill
 //!   costs `O(nnz)` per full wrap instead of `O(m·n)`.
+//! * **Warm starts that survive membership changes.** A caller's basis
+//!   that is still primal feasible re-enters phase 2 directly. One that
+//!   factors but went primal infeasible under the new RHS — a tombstoned
+//!   block, a revived one, a capacity drop — is *repaired*: one extra
+//!   artificial column `a = −Σ_{i∈S} B·e_i` over the negative slots `S`,
+//!   pivoted in at the most negative one, makes it feasible, and phase 1
+//!   runs from there instead of from the slack basis. Both count as a
+//!   warm *hit* ([`Solution::used_warm_start`]); a *miss* is a basis that
+//!   was malformed, singular or beyond repair, after which the solve
+//!   starts cold.
 //! * **Same determinism contract.** Phase 2 is followed by the same
 //!   least-capacity-vertex canonicalization as the revised backend
 //!   (secondary weights decreasing in column mass, index jitter,
-//!   duplicate-column pruning), and the final solution is extracted from
-//!   a fresh factorization of the final basis — so warm and cold solves
-//!   of one problem return **bit-identical** results, and results agree
-//!   with the dense oracles to 1e-9 (`tests/proptest_backends.rs`).
+//!   duplicate-column pruning), then by a canonicalization of the basis
+//!   at that vertex (dual pivots on a fixed RHS perturbation, so a
+//!   degenerate vertex reports path-independent duals), and the final
+//!   solution is extracted from a fresh factorization of the final
+//!   basis — so warm, repaired and cold solves of one problem return
+//!   **bit-identical** results, and results agree with the dense oracles
+//!   to 1e-9 (`tests/proptest_backends.rs`, `tests/proptest_warm_repair.rs`).
 //!
 //! Without declared blocks the backend degrades gracefully to a plain
 //! sparse revised simplex (one block, generic pricing sections), which on
@@ -134,18 +147,36 @@ pub(crate) struct SparseWorkspace {
     face_fresh: bool,
     face_w2: Vec<f64>,
     w2: Vec<f64>,
+    // --- warm-basis repair column (normalized, sparse) ---
+    repair_rows: Vec<u32>,
+    repair_vals: Vec<f64>,
     /// Per-solve telemetry, published by the dispatcher.
     pub(crate) stats: crate::simplex::SolveStats,
 }
 
-/// Column layout of the assembled matrix.
+/// Column layout of the assembled matrix: structurals `0..n`, slacks
+/// `n..art_start`, per-row artificials `art_start..repair`, and the one
+/// extra artificial column a warm-basis repair may install at `repair`
+/// (`ncols = repair + 1`).
 #[derive(Debug, Clone, Copy)]
 struct Dims {
     m: usize,
     n: usize,
     art_start: usize,
+    repair: usize,
     ncols: usize,
     n_art: usize,
+}
+
+/// Outcome of installing a caller-provided warm [`Basis`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WarmInstall {
+    /// Factored and primal feasible: phase 2 can start right away.
+    Feasible,
+    /// Factored, but `B⁻¹b` is negative on some slots: repairable.
+    Infeasible,
+    /// Malformed or singular: only a cold start remains.
+    Rejected,
 }
 
 /// Entry point used by `Problem::{solve, solve_with, solve_warm}` when
@@ -167,8 +198,19 @@ pub(crate) fn solve(
     let mut y2 = vec![0.0; dims.m];
     let mut d = vec![0.0; dims.m];
 
-    // ---- Warm start: try to re-enter phase 2 directly -------------------
-    let warm_ok = warm.is_some_and(|basis| try_warm_basis(ws, &dims, basis, tol));
+    // ---- Warm start: re-enter phase 2 directly, or repair and -----------
+    // ---- re-enter phase 1 from the cached basis --------------------------
+    let install = warm.map_or(WarmInstall::Rejected, |basis| {
+        try_warm_basis(ws, &dims, basis, tol)
+    });
+    let mut warm_ok = install == WarmInstall::Feasible;
+    if install == WarmInstall::Infeasible && repair_basis(ws, &dims, tol, &mut d) {
+        phase_one(rows, ws, &dims, options, &mut y, &mut d, &mut iterations)?;
+        // A repair column that could not be driven out (numerically
+        // dependent rows) would reach extraction: restart cold instead.
+        warm_ok = ws.basis.iter().all(|&c| c < dims.art_start);
+        ws.stats.warm_repaired = warm_ok;
+    }
 
     if !warm_ok {
         install_initial_basis(ws, &dims);
@@ -176,34 +218,8 @@ pub(crate) fn solve(
             return Err(SolveError::Singular);
         }
         load_x_basic(ws, dims.m);
-
-        // ---- Phase 1: drive artificials to zero -------------------------
         if dims.n_art > 0 {
-            ws.cost.clear();
-            ws.cost.resize(dims.ncols, 0.0);
-            for r in 0..dims.m {
-                if ws.art_col[r] != NONE_COL {
-                    ws.cost[ws.art_col[r]] = -1.0; // maximize −Σ artificials
-                }
-            }
-            run_phase(
-                rows,
-                ws,
-                &dims,
-                options,
-                Phase::One,
-                &mut y,
-                &mut d,
-                &mut iterations,
-            )?;
-            let residual: f64 = (0..dims.m)
-                .filter(|&i| ws.basis[i] >= dims.art_start)
-                .map(|i| ws.x_basic[i].max(0.0))
-                .sum();
-            if residual > tol.max(1e-7) {
-                return Err(SolveError::Infeasible { residual });
-            }
-            drive_out_artificials(ws, &dims, tol, &mut y, &mut d, &mut iterations);
+            phase_one(rows, ws, &dims, options, &mut y, &mut d, &mut iterations)?;
         }
     }
 
@@ -233,6 +249,9 @@ pub(crate) fn solve(
         &mut d,
         &mut iterations,
     );
+
+    // ---- Phase 4: canonicalize the basis of that vertex -----------------
+    canonicalize_duals(ws, &dims, options, &mut y, &mut y2, &mut d, &mut iterations);
 
     // ---- Extraction from a fresh factorization of the final basis -------
     // The factorization order depends only on the basis *set* and the
@@ -319,7 +338,8 @@ fn build(problem: &Problem, ws: &mut SparseWorkspace) -> Dims {
         ws.b.push(sign * c.rhs() / scale);
     }
     let art_start = n + n_slack;
-    let ncols = art_start + n_art;
+    let repair = art_start + n_art;
+    let ncols = repair + 1;
 
     for (r, c) in problem.constraints().iter().enumerate() {
         if c.kind() == ConstraintKind::LessEq {
@@ -336,7 +356,9 @@ fn build(problem: &Problem, ws: &mut SparseWorkspace) -> Dims {
             ws.logical_val.push(1.0);
         }
     }
-    debug_assert_eq!(n + ws.logical_row.len(), ncols);
+    debug_assert_eq!(n + ws.logical_row.len(), repair);
+    ws.repair_rows.clear();
+    ws.repair_vals.clear();
 
     // ---- CSC view over the structural columns (raw values) --------------
     ws.col_ptr.clear();
@@ -436,6 +458,7 @@ fn build(problem: &Problem, ws: &mut SparseWorkspace) -> Dims {
         m,
         n,
         art_start,
+        repair,
         ncols,
         n_art,
     }
@@ -448,6 +471,10 @@ fn gather_col(ws: &SparseWorkspace, dims: &Dims, j: usize, out: &mut [f64]) {
         for idx in ws.col_ptr[j]..ws.col_ptr[j + 1] {
             let r = ws.col_rows[idx] as usize;
             out[r] = ws.col_vals[idx] * ws.row_factor[r];
+        }
+    } else if j == dims.repair {
+        for (&r, &v) in ws.repair_rows.iter().zip(&ws.repair_vals) {
+            out[r as usize] = v;
         }
     } else {
         let l = j - dims.n;
@@ -514,11 +541,13 @@ fn install_initial_basis(ws: &mut SparseWorkspace, dims: &Dims) {
     }
 }
 
-/// Validates and installs a caller-provided warm [`Basis`]; returns
-/// `true` when it is well-formed, nonsingular and primal feasible.
-fn try_warm_basis(ws: &mut SparseWorkspace, dims: &Dims, basis: &Basis, tol: f64) -> bool {
+/// Validates, installs and factors a caller-provided warm [`Basis`].
+/// On [`WarmInstall::Feasible`] `x_basic` holds `B⁻¹b` clamped at zero;
+/// on [`WarmInstall::Infeasible`] it holds the raw values, negatives
+/// included, for [`repair_basis`].
+fn try_warm_basis(ws: &mut SparseWorkspace, dims: &Dims, basis: &Basis, tol: f64) -> WarmInstall {
     if basis.len() != dims.m {
-        return false;
+        return WarmInstall::Rejected;
     }
     ws.basis.clear();
     ws.in_basis.clear();
@@ -527,16 +556,16 @@ fn try_warm_basis(ws: &mut SparseWorkspace, dims: &Dims, basis: &Basis, tol: f64
         let c = match *slot {
             BasisVar::Structural(j) if j < dims.n => j,
             BasisVar::Slack(r) if r < dims.m && ws.slack_col[r] != NONE_COL => ws.slack_col[r],
-            _ => return false,
+            _ => return WarmInstall::Rejected,
         };
         if ws.in_basis[c] {
-            return false; // duplicate
+            return WarmInstall::Rejected; // duplicate
         }
         ws.basis.push(c);
         ws.in_basis[c] = true;
     }
     if !factor(ws, dims) {
-        return false; // singular under the new coefficients
+        return WarmInstall::Rejected; // singular under the new coefficients
     }
     ws.x_basic.clear();
     ws.x_basic.extend_from_slice(&ws.b);
@@ -544,12 +573,78 @@ fn try_warm_basis(ws: &mut SparseWorkspace, dims: &Dims, basis: &Basis, tol: f64
     ftran(ws, &mut xb);
     ws.x_basic = xb;
     if ws.x_basic.iter().any(|&v| v < -tol) {
-        return false; // primal infeasible for the new RHS
+        return WarmInstall::Infeasible; // primal infeasible for the new RHS
     }
     for v in &mut ws.x_basic {
         *v = v.max(0.0);
     }
-    true
+    WarmInstall::Feasible
+}
+
+/// Makes an installed warm basis primal feasible again with one extra
+/// artificial column, so phase 1 can start from it instead of from the
+/// slack/artificial basis.
+///
+/// With `S` the slots where `x_B = B⁻¹b < −tol`, the repair column is
+/// `a = −Σ_{i∈S} B·e_i`, so `B⁻¹a = −e_S`. Pivoting it in at the most
+/// negative slot with step `θ = −min x_B` raises every slot of `S` by
+/// `θ` and leaves the rest alone: the new basis is feasible, with the
+/// repair artificial basic at `θ`. Returns `false` — the caller restarts
+/// cold — when the pivot is below [`SINGULAR_TOL`] or a basic value
+/// would stay negative.
+fn repair_basis(ws: &mut SparseWorkspace, dims: &Dims, tol: f64, d: &mut [f64]) -> bool {
+    // The most negative slot, lowest index on ties.
+    let mut r = usize::MAX;
+    let mut lowest = -tol;
+    for (i, &v) in ws.x_basic.iter().enumerate() {
+        if v < lowest {
+            lowest = v;
+            r = i;
+        }
+    }
+    if r == usize::MAX {
+        return false;
+    }
+    d.fill(0.0);
+    for i in 0..dims.m {
+        if ws.x_basic[i] >= -tol {
+            continue;
+        }
+        let c = ws.basis[i];
+        if c < dims.n {
+            for idx in ws.col_ptr[c]..ws.col_ptr[c + 1] {
+                let row = ws.col_rows[idx] as usize;
+                d[row] -= ws.col_vals[idx] * ws.row_factor[row];
+            }
+        } else {
+            let l = c - dims.n;
+            d[ws.logical_row[l]] -= ws.logical_val[l];
+        }
+    }
+    ws.repair_rows.clear();
+    ws.repair_vals.clear();
+    for (row, &v) in d.iter().enumerate() {
+        // dmc-lint: allow(float-exact) the repair column stores exact nonzeros only: a zero entry is structurally absent
+        if v != 0.0 {
+            ws.repair_rows.push(row as u32);
+            ws.repair_vals.push(v);
+        }
+    }
+    ftran(ws, d);
+    if d[r].abs() < SINGULAR_TOL {
+        return false;
+    }
+    let step = ws.x_basic[r] / d[r];
+    let stays_negative = ws
+        .x_basic
+        .iter()
+        .zip(d.iter())
+        .enumerate()
+        .any(|(i, (&x, &di))| i != r && x - step * di < -tol);
+    if stays_negative || step < 0.0 {
+        return false;
+    }
+    pivot(ws, dims, dims.repair, r, d, step)
 }
 
 /// Sparse product-form factorization of the current basis, built in
@@ -596,10 +691,12 @@ fn factor(ws: &mut SparseWorkspace, dims: &Dims) -> bool {
     ws.order.extend_from_slice(&ws.basis);
     let (n, logical_row, col_block) = (dims.n, &ws.logical_row, &ws.col_block);
     ws.order.sort_unstable_by_key(|&c| {
-        if c >= n {
+        if c < n {
+            (1u8, col_block[c] as usize, c)
+        } else if c - n < logical_row.len() {
             (0u8, logical_row[c - n], c)
         } else {
-            (1u8, col_block[c] as usize, c)
+            (2u8, 0, c) // the repair column
         }
     });
 
@@ -652,6 +749,15 @@ fn eliminate_column(ws: &mut SparseWorkspace, dims: &Dims, col: usize, local_onl
                 touched.push(r as u32);
             }
         }
+    } else if col == dims.repair {
+        for (&t, &v) in ws.repair_rows.iter().zip(&ws.repair_vals) {
+            let r = t as usize;
+            work[r] = v;
+            if !ws.mark[r] {
+                ws.mark[r] = true;
+                touched.push(t);
+            }
+        }
     } else {
         let l = col - dims.n;
         let r = ws.logical_row[l];
@@ -685,7 +791,7 @@ fn eliminate_column(ws: &mut SparseWorkspace, dims: &Dims, col: usize, local_onl
     } else {
         COUPLING // logicals: home is their own row, matched below
     };
-    let logical_home = if col >= dims.n {
+    let logical_home = if col >= dims.n && col != dims.repair {
         Some(ws.logical_row[col - dims.n])
     } else {
         None
@@ -1081,6 +1187,36 @@ fn run_phase(
     })
 }
 
+/// Phase 1 from the installed basis: maximizes `−Σ` basic artificials
+/// (the per-row ones and the repair column), reports `Infeasible` when
+/// they cannot all reach zero, and pivots the zero-valued leftovers out.
+fn phase_one(
+    rows: &[Constraint],
+    ws: &mut SparseWorkspace,
+    dims: &Dims,
+    options: &SolverOptions,
+    y: &mut [f64],
+    d: &mut [f64],
+    iterations: &mut usize,
+) -> Result<(), SolveError> {
+    let tol = options.tolerance;
+    ws.cost.clear();
+    ws.cost.resize(dims.ncols, 0.0);
+    for c in dims.art_start..dims.ncols {
+        ws.cost[c] = -1.0; // maximize −Σ artificials
+    }
+    run_phase(rows, ws, dims, options, Phase::One, y, d, iterations)?;
+    let residual: f64 = (0..dims.m)
+        .filter(|&i| ws.basis[i] >= dims.art_start)
+        .map(|i| ws.x_basic[i].max(0.0))
+        .sum();
+    if residual > tol.max(1e-7) {
+        return Err(SolveError::Infeasible { residual });
+    }
+    drive_out_artificials(ws, dims, tol, y, d, iterations);
+    Ok(())
+}
+
 /// After phase 1, pivots basic artificials out where possible; rows
 /// whose artificial cannot leave are linearly dependent and keep it
 /// basic at zero (identical semantics to the revised backend).
@@ -1327,6 +1463,100 @@ fn canonicalize(
     ws.face_w2 = rc2;
 }
 
+/// Phase 4: picks the canonical *basis* of the canonical vertex.
+///
+/// A degenerate vertex (basic variables at zero — a tombstoned block's
+/// `Σx = 0` row, a floor relaxed to zero) has several optimal bases with
+/// the same `x` but different duals, and which one a solve ends on
+/// depends on its pivot path. This runs dual simplex pivots on the
+/// RHS perturbed to `b + ε·g` (`g` a fixed positive weight per row,
+/// relaxing every row): while a degenerate basic slot would go negative
+/// under the perturbation, it leaves, and the entering column comes from
+/// the dual ratio test, so every pivot keeps `x` and dual feasibility.
+/// The basis it ends on is optimal for the perturbed problem, which does
+/// not depend on the path — so warm, repaired and cold solves report the
+/// same duals too.
+fn canonicalize_duals(
+    ws: &mut SparseWorkspace,
+    dims: &Dims,
+    options: &SolverOptions,
+    y: &mut [f64],
+    v: &mut [f64],
+    d: &mut [f64],
+    iterations: &mut usize,
+) {
+    let tol = options.tolerance;
+    for _ in 0..options.max_iterations {
+        // v = B⁻¹g in the normalized row space.
+        for (i, vi) in v.iter_mut().enumerate() {
+            let jitter = (i as f64 * 0.618_033_988_749_894_9).fract();
+            *vi = (1.0 + 0.5 * jitter) * ws.row_factor[i];
+        }
+        ftran(ws, v);
+        let mut r = usize::MAX;
+        let mut worst = -tol;
+        for (i, &vi) in v.iter().enumerate() {
+            if ws.basis[i] < dims.art_start && ws.x_basic[i] <= tol && vi < worst {
+                worst = vi;
+                r = i;
+            }
+        }
+        if r == usize::MAX {
+            return; // no degenerate slot goes negative: canonical
+        }
+        for (yi, &b) in y.iter_mut().zip(&ws.basis) {
+            *yi = ws.cost[b];
+        }
+        btran(ws, y);
+        // v ← row r of B⁻¹.
+        v.fill(0.0);
+        v[r] = 1.0;
+        btran(ws, v);
+        let mut yf_buf = std::mem::take(&mut ws.yf_scratch);
+        let yf = premultiply(&mut yf_buf, y, &ws.row_factor);
+        let mut best = f64::INFINITY;
+        let mut entering = None;
+        for j in 0..dims.art_start {
+            if ws.in_basis[j] {
+                continue;
+            }
+            let alpha = if j < dims.n {
+                (ws.col_ptr[j]..ws.col_ptr[j + 1])
+                    .map(|idx| {
+                        let row = ws.col_rows[idx] as usize;
+                        v[row] * ws.row_factor[row] * ws.col_vals[idx]
+                    })
+                    .sum::<f64>()
+            } else {
+                let l = j - dims.n;
+                v[ws.logical_row[l]] * ws.logical_val[l]
+            };
+            if alpha < -tol {
+                let ratio = reduced_cost_col(ws, dims, yf, y, j).min(0.0) / alpha;
+                if ratio < best - 1e-12 {
+                    best = ratio;
+                    entering = Some(j);
+                }
+            }
+        }
+        ws.yf_scratch = yf_buf;
+        let Some(q) = entering else {
+            return; // the perturbation has no feasible direction here
+        };
+        d.fill(0.0);
+        gather_col(ws, dims, q, d);
+        ftran(ws, d);
+        if d[r].abs() <= SINGULAR_TOL {
+            return;
+        }
+        let pivot_ok = pivot(ws, dims, q, r, d, 0.0);
+        *iterations += 1;
+        if !pivot_ok {
+            return; // refactorization breakdown: extraction refactors anyway
+        }
+    }
+}
+
 /// Maps the final basis to the public [`Basis`] type (`None` when an
 /// artificial stayed basic).
 fn export_basis(ws: &SparseWorkspace, dims: &Dims) -> Option<Basis> {
@@ -1335,8 +1565,7 @@ fn export_basis(ws: &SparseWorkspace, dims: &Dims) -> Option<Basis> {
         if c < dims.n {
             slots.push(BasisVar::Structural(c));
         } else if c < dims.art_start {
-            let row = ws.slack_col.iter().position(|&s| s == c)?;
-            slots.push(BasisVar::Slack(row));
+            slots.push(BasisVar::Slack(ws.logical_row[c - dims.n]));
         } else {
             return None;
         }
@@ -1517,7 +1746,7 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_warm_basis_falls_back_to_phase_one() {
+    fn infeasible_warm_basis_is_repaired_through_phase_one() {
         let o = opts();
         let mut loose = Problem::maximize(vec![2.0, 1.0]);
         loose.add_le(vec![1.0, 0.0], 10.0).unwrap();
@@ -1530,7 +1759,7 @@ mod tests {
         tight.add_eq(vec![1.0, 1.0], 1.0).unwrap();
         let warm = tight.solve_warm(&o, &basis).unwrap();
         let cold = tight.solve(&o).unwrap();
-        assert!(!warm.used_warm_start(), "stale basis must fall back");
+        assert!(warm.used_warm_start(), "stale basis must be repaired");
         assert_eq!(warm.x(), cold.x());
         assert_eq!(warm.objective(), cold.objective());
         assert!((warm.objective() - 2.0).abs() < 1e-9);

@@ -9,12 +9,25 @@
 //! [`WarmSolver::MAX_SHAPES`] shapes, and hits, misses and anomalies are
 //! counted both locally and on a caller-named set of `dmc_obs` counters.
 //!
-//! Warm and cold solves of the same problem report bit-identical
-//! vertices (the revised and sparse backends canonicalize their answer),
-//! so the cache is purely a performance device.
+//! With [`Backend::Sparse`](crate::Backend::Sparse) a cached basis that
+//! the new RHS made primal infeasible is not thrown away: the backend
+//! repairs it with one artificial column and runs phase 1 from it. So
+//! on an exact-shape miss the solver also tries the latest basis of the
+//! same *row-kind family* — same dimensions and row kinds, any zero-RHS
+//! pattern — which is what a tombstone or a revive changes.
+//!
+//! A *hit* is a solve that started from the cached basis, directly or
+//! repaired; a *miss* is one where the basis was unusable (wrong shape
+//! under a hash collision, singular, or beyond repair) and the solve
+//! went cold, or where the solve returned an error. Warm and cold
+//! solves of the same problem report bit-identical vertices (the
+//! revised and sparse backends canonicalize their answer), so the cache
+//! is purely a performance device.
 
 use crate::Workspace;
-use crate::{Basis, ConstraintKind, Problem, Solution, SolveError, SolveStatus, SolverOptions};
+use crate::{
+    Backend, Basis, ConstraintKind, Problem, Solution, SolveError, SolveStatus, SolverOptions,
+};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -23,14 +36,18 @@ use std::fmt;
 /// reuse and cold solves.
 ///
 /// An *attempt* is a solve for which a cached basis of the right shape
-/// existed; it becomes a *hit* when the solver actually re-entered
-/// phase 2 from that basis, and a *miss* when the basis had gone stale
-/// (infeasible under the new coefficients, singular) and the solver fell
-/// back to a cold two-phase solve. Solves with no cached basis at all
-/// (first solve of a shape, cache disabled) count in neither bucket.
+/// (or, on the sparse backend, of the same row-kind family) existed; it
+/// becomes a *hit* when the solver started from that basis — re-entering
+/// phase 2 directly, or phase 1 after repairing it — and a *miss* when
+/// the basis was unusable (singular, beyond repair, or infeasible on a
+/// backend that does not repair) and the solver fell back to a cold
+/// two-phase solve (a warm attempt that returns an error also counts as
+/// a miss). Solves with no cached basis at all (first solve of a
+/// shape, cache disabled) count in neither bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct WarmStats {
-    /// Warm-start attempts that re-entered phase 2 from the cached basis.
+    /// Warm-start attempts that started from the cached basis, directly
+    /// or repaired.
     pub hits: u64,
     /// Warm-start attempts that fell back to a cold solve.
     pub misses: u64,
@@ -69,33 +86,48 @@ impl fmt::Display for WarmStats {
 /// re-occupation share the LP's *shape*, but their optimal bases are
 /// mutually infeasible (`Σx = 0` vs `Σx = 1`). Keying on the zero-RHS
 /// pattern gives each churn phase its own cache entry, so steady-state
-/// churn alternates between two entries that both keep hitting.
+/// churn alternates between two entries that both keep hitting. The
+/// untagged part — dimensions and row kinds — is the key's *family*,
+/// under which a repairing backend looks for a basis on an exact miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JointShapeKey {
     n_vars: usize,
     n_rows: usize,
     kind_hash: u64,
+    tag_hash: u64,
 }
+
+/// A [`JointShapeKey`] without its zero-RHS tags.
+type ShapeFamily = (usize, usize, u64);
 
 impl JointShapeKey {
     /// The key of `problem`'s current shape.
     pub fn of(problem: &Problem) -> Self {
         let mut kind_hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut tag_hash: u64 = 0xcbf2_9ce4_8422_2325;
         for c in problem.constraints() {
             let kind: u64 = match c.kind() {
                 ConstraintKind::LessEq => 1,
                 ConstraintKind::Eq => 2,
             };
+            kind_hash ^= kind;
+            kind_hash = kind_hash.wrapping_mul(0x0000_0100_0000_01b3);
             // dmc-lint: allow(float-exact) shape-key tag: structurally-zero RHS (tombstoned rows, quality floors) is written bitwise as 0.0, never computed
             let tag = kind * 2 + u64::from(c.rhs() == 0.0);
-            kind_hash ^= tag;
-            kind_hash = kind_hash.wrapping_mul(0x0000_0100_0000_01b3);
+            tag_hash ^= tag;
+            tag_hash = tag_hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
         JointShapeKey {
             n_vars: problem.num_vars(),
             n_rows: problem.num_constraints(),
             kind_hash,
+            tag_hash,
         }
+    }
+
+    /// The key without its zero-RHS tags.
+    fn family(&self) -> ShapeFamily {
+        (self.n_vars, self.n_rows, self.kind_hash)
     }
 }
 
@@ -104,7 +136,8 @@ impl JointShapeKey {
 /// the single-flow planner, `fleet.` for the joint fleet LPs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarmCounters {
-    /// Warm attempts that re-entered phase 2 from the cached basis.
+    /// Warm attempts that started from the cached basis, directly or
+    /// repaired.
     pub hits: &'static str,
     /// Warm attempts that fell back to a cold solve (or failed).
     pub misses: &'static str,
@@ -140,6 +173,8 @@ pub struct WarmSolver {
     counters: WarmCounters,
     workspace: Workspace,
     bases: BTreeMap<JointShapeKey, Basis>,
+    /// The most recently cached key of each family in `bases`.
+    latest: BTreeMap<ShapeFamily, JointShapeKey>,
     attempts: u64,
     hits: u64,
     anomalies: u64,
@@ -147,8 +182,11 @@ pub struct WarmSolver {
 
 impl WarmSolver {
     /// Bound on cached shapes; a caller cycling through more shapes than
-    /// this restarts its cache (sweeps and churn touch a few).
-    pub const MAX_SHAPES: usize = 64;
+    /// this restarts its cache. Parameter sweeps and churn touch a few
+    /// shapes, but a fleet re-admission sweep rebuilds its joint LP one
+    /// member at a time — one shape per member — so the bound sits well
+    /// above a large region's flow count.
+    pub const MAX_SHAPES: usize = 256;
 
     /// An empty cache reporting under `counters`.
     pub fn new(counters: WarmCounters) -> Self {
@@ -156,6 +194,7 @@ impl WarmSolver {
             counters,
             workspace: Workspace::new(),
             bases: BTreeMap::new(),
+            latest: BTreeMap::new(),
             attempts: 0,
             hits: 0,
             anomalies: 0,
@@ -163,11 +202,14 @@ impl WarmSolver {
     }
 
     /// Solves `problem`, warm-starting from the cached basis of its shape
-    /// when `warm_start` is set, and caches the new optimal basis.
+    /// when `warm_start` is set, and caches the new optimal basis. On an
+    /// exact-shape miss under [`Backend::Sparse`] — the backend that
+    /// repairs infeasible bases — the latest basis of the shape's
+    /// row-kind family is tried instead.
     ///
     /// A singular basis or a pivot-cap abort on the warm path is a
-    /// numerical anomaly, not a verdict about the problem: the shape's
-    /// basis is dropped and the problem is re-solved cold. Any other warm
+    /// numerical anomaly, not a verdict about the problem: the basis
+    /// tried is dropped and the problem is re-solved cold. Any other warm
     /// error (infeasibility, say) is returned as is and keeps the basis.
     /// Hit, miss and anomaly events go to `obs` under this solver's
     /// counter names.
@@ -183,8 +225,17 @@ impl WarmSolver {
         obs: &dmc_obs::Obs,
     ) -> Result<Solution, SolveError> {
         let key = warm_start.then(|| JointShapeKey::of(problem));
-        let solution = match key.and_then(|k| self.bases.get(&k)) {
-            Some(basis) => {
+        let source = key.and_then(|k| {
+            if self.bases.contains_key(&k) {
+                Some(k)
+            } else if opts.backend == Backend::Sparse {
+                self.latest.get(&k.family()).copied()
+            } else {
+                None
+            }
+        });
+        let solution = match source.and_then(|s| self.bases.get(&s).map(|b| (s, b))) {
+            Some((source, basis)) => {
                 self.attempts += 1;
                 match problem.solve_warm_with(opts, &mut self.workspace, basis) {
                     Ok(s) => {
@@ -200,8 +251,9 @@ impl WarmSolver {
                         self.anomalies += 1;
                         obs.counter(self.counters.anomalies).inc();
                         obs.counter(self.counters.misses).inc();
-                        if let Some(k) = key {
-                            self.bases.remove(&k);
+                        self.bases.remove(&source);
+                        if self.latest.get(&source.family()) == Some(&source) {
+                            self.latest.remove(&source.family());
                         }
                         problem.solve_with(opts, &mut self.workspace)?
                     }
@@ -215,9 +267,10 @@ impl WarmSolver {
         };
         if let (Some(k), Some(basis)) = (key, solution.basis()) {
             if self.bases.len() >= Self::MAX_SHAPES && !self.bases.contains_key(&k) {
-                self.bases.clear();
+                self.clear();
             }
             self.bases.insert(k, basis.clone());
+            self.latest.insert(k.family(), k);
         }
         Ok(solution)
     }
@@ -243,13 +296,13 @@ impl WarmSolver {
     /// Drops every cached basis (subsequent solves start cold).
     pub fn clear(&mut self) {
         self.bases.clear();
+        self.latest.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Backend;
 
     const COUNTERS: WarmCounters = WarmCounters {
         hits: "test.warm_hits",
@@ -285,7 +338,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_rhs_tag_keeps_a_tombstoned_shape_apart_from_its_live_twin() {
+    fn zero_rhs_tag_keeps_a_tombstoned_shape_apart_and_repairs_from_its_live_twin() {
         let live = block_lp(3, 4.0, [1.0, 1.0]);
         let tomb = block_lp(3, 4.0, [1.0, 0.0]);
         assert_eq!(live.num_vars(), tomb.num_vars());
@@ -299,8 +352,9 @@ mod tests {
             .solve(&tomb, &opts(), true, &dmc_obs::Obs::disabled())
             .unwrap();
         assert_eq!(solver.cached_bases(), 2);
-        // Neither solve consulted the other's basis.
-        assert_eq!(solver.stats().attempts(), 0);
+        // The tombstoned solve started from its live twin's basis.
+        assert_eq!(solver.stats().attempts(), 1);
+        assert_eq!(solver.stats().hits, 1);
     }
 
     #[test]
